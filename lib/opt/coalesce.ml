@@ -6,7 +6,12 @@
     interferes with everything live across it, except that a copy's
     destination does not interfere with its source — then merges the two
     names of every copy whose classes do not interfere, and rewrites.
-    Repeats until a pass removes nothing: merging frees further copies. *)
+    Repeats until a pass removes nothing: merging frees further copies.
+
+    The rounds run over a dense renumbering of the registers that occur:
+    registers are never compacted after the SSA round trips and DCE, so
+    [next_reg] is often many times their number, and the liveness and
+    interference sets would otherwise be [next_reg] wide. *)
 
 open Epre_util
 open Epre_ir
@@ -53,9 +58,7 @@ let round (r : Routine.t) =
   List.iter (fun p -> is_param.(p) <- true) r.Routine.params;
   let interferes x y =
     let rx = Union_find.find uf x and ry = Union_find.find uf y in
-    let tmp = Bitset.copy interference.(rx) in
-    Bitset.inter_into ~dst:tmp members.(ry);
-    not (Bitset.is_empty tmp)
+    not (Bitset.disjoint interference.(rx) members.(ry))
   in
   let merge x y =
     (* Keep a parameter as the representative so entry definitions keep
@@ -119,15 +122,50 @@ let round (r : Routine.t) =
 
 let max_rounds = 16
 
+(* Renames every register in [r]'s code through [f], in place. *)
+let rename_code f (r : Routine.t) =
+  Cfg.iter_blocks
+    (fun b ->
+      b.Block.instrs <- List.map (fun i -> Instr.map_uses f (Instr.map_def f i)) b.Block.instrs;
+      b.Block.term <- Instr.map_term_uses f b.Block.term)
+    r.Routine.cfg
+
+(* The registers that occur in [r], ascending. Numbering them in this
+   order keeps every merge and representative choice of the rounds. *)
+let occurring (r : Routine.t) =
+  let seen = Bitset.create r.Routine.next_reg in
+  let note v = Bitset.add seen v in
+  List.iter note r.Routine.params;
+  Cfg.iter_blocks
+    (fun b ->
+      List.iter
+        (fun i ->
+          Option.iter note (Instr.def i);
+          List.iter note (Instr.uses i))
+        b.Block.instrs;
+      List.iter note (Instr.term_uses b.Block.term))
+    r.Routine.cfg;
+  Array.of_list (Bitset.elements seen)
+
 let run (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg "Coalesce.run: requires non-SSA code";
+  let orig = occurring r in
+  let index = Array.make r.Routine.next_reg 0 in
+  Array.iteri (fun k v -> index.(v) <- k) orig;
+  rename_code (fun v -> index.(v)) r;
+  let dense =
+    Routine.create ~name:r.Routine.name
+      ~params:(List.map (fun v -> index.(v)) r.Routine.params)
+      ~cfg:r.Routine.cfg ~next_reg:(Array.length orig)
+  in
   let total = ref 0 in
   let rec go n =
     if n < max_rounds then begin
-      let removed = round r in
+      let removed = round dense in
       total := !total + removed;
       if removed > 0 then go (n + 1)
     end
   in
   go 0;
+  rename_code (fun k -> orig.(k)) r;
   !total

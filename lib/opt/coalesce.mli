@@ -5,7 +5,8 @@
     Interference comes from liveness (a definition interferes with
     everything live across it, except a copy's source); copies whose
     classes do not interfere are merged, to a fixed point. Requires
-    non-SSA code. Returns the number of copies removed. *)
+    non-SSA code. Returns the number of copies removed; [next_reg] is left
+    unchanged. *)
 
 open Epre_ir
 

@@ -32,6 +32,9 @@ val union_into : dst:t -> t -> unit
 
 val inter_into : dst:t -> t -> unit
 
+val disjoint : t -> t -> bool
+(** [disjoint a b] is [a ∩ b = ∅], computed without allocating. *)
+
 val diff_into : dst:t -> t -> unit
 (** [diff_into ~dst src] sets [dst := dst \ src]. *)
 

@@ -68,6 +68,15 @@ let contains_substring ~needle haystack =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
+(* Delete a file or a directory tree; a missing path is not an error. *)
+let rec remove_tree p =
+  if Sys.file_exists p then
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> remove_tree (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
+    end
+    else Sys.remove p
+
 let qcheck_case ?(count = 100) name law gen prop =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count ~name:(name ^ ": " ^ law) gen prop)

@@ -181,9 +181,14 @@ let test_reduction_quality () =
 (* ------------------------------------------------------------------ *)
 (* Corpus + campaign                                                   *)
 
-let corpus_dir = "fuzz-test-corpus"
+(* Each test that saves reproducers gets a fresh corpus directory, removed
+   afterwards, so no test output lands in the working tree. *)
+let with_corpus_dir f =
+  let dir = Filename.temp_dir "eprec-fuzz-corpus" "" in
+  Fun.protect ~finally:(fun () -> Helpers.remove_tree dir) (fun () -> f dir)
 
 let test_corpus_round_trip () =
+  with_corpus_dir @@ fun corpus_dir ->
   let _, _, reduced, stats = reduce_chaos_failure 11 in
   let prog = compile_ast reduced in
   match Fuzz.Oracle.check { chaos_config with pinpoint = false } prog with
@@ -240,6 +245,7 @@ let test_campaign_deterministic () =
   Alcotest.(check int) "clean campaign" 0 s1.Fuzz.Campaign.cases_failed
 
 let test_campaign_chaos_end_to_end () =
+  with_corpus_dir @@ fun corpus_dir ->
   let cfg =
     { Fuzz.Campaign.default_config with
       runs = 1; seed = 7; chaos = Some chaos_spec;

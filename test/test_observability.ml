@@ -20,15 +20,7 @@ let temp_dir tag =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "eprec-obs-%s-%d" tag (Unix.getpid ()))
   in
-  let rec rm p =
-    if Sys.file_exists p then
-      if Sys.is_directory p then begin
-        Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-        Sys.rmdir p
-      end
-      else Sys.remove p
-  in
-  rm d;
+  Helpers.remove_tree d;
   Sys.mkdir d 0o755;
   d
 

@@ -292,6 +292,41 @@ let test_coalesce_respects_interference () =
   Alcotest.(check int) "old value preserved" 20
     (Helpers.run_int ~entry:"f" ~args:[ Value.I 4 ] prog)
 
+(* Coalescing runs over a dense numbering of the registers that occur,
+   so how far [next_reg] runs past them must not change its result. Each
+   workload is staged at [distribution] up to coalesce, then coalesced
+   twice: once as is and once with 10000 unused names added. *)
+let test_coalesce_ignores_name_supply () =
+  let rec staging = function
+    | [] -> Alcotest.fail "distribution has no coalesce stage"
+    | (p : Epre_harness.Harness.named_pass) :: rest ->
+      if p.pass_name = "coalesce" then [] else p :: staging rest
+  in
+  let stages = staging (Epre.Pipeline.level_passes ~level:Epre.Pipeline.Distribution) in
+  let total = ref 0 in
+  List.iter
+    (fun (w : Epre_workloads.Workloads.t) ->
+      List.iter
+        (fun r ->
+          List.iter (fun (p : Epre_harness.Harness.named_pass) -> p.run r) stages;
+          let padded = Routine.copy r in
+          padded.Routine.next_reg <- padded.Routine.next_reg + 10_000;
+          let n = r.Routine.next_reg in
+          let what = w.name ^ "/" ^ r.Routine.name in
+          let removed = Epre_opt.Coalesce.run r in
+          let removed_padded = Epre_opt.Coalesce.run padded in
+          total := !total + removed;
+          Alcotest.(check int) (what ^ ": copies removed") removed removed_padded;
+          Alcotest.(check int) (what ^ ": next_reg kept") n r.Routine.next_reg;
+          Alcotest.(check int) (what ^ ": padded next_reg kept") (n + 10_000)
+            padded.Routine.next_reg;
+          (* Printed with [r]'s [next_reg], so only the code can differ. *)
+          Alcotest.(check string) (what ^ ": same code") (Ir_text.routine_to_string r)
+            (Ir_text.routine_to_string { padded with Routine.next_reg = n }))
+        (Program.routines (Epre_workloads.Workloads.compile w)))
+    Epre_workloads.Workloads.all;
+  Alcotest.(check bool) "some copies coalesced" true (!total > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Clean *)
 
@@ -483,6 +518,7 @@ let suite =
     Alcotest.test_case "dce: dead loads removed" `Quick test_dce_removes_dead_load_chain;
     Alcotest.test_case "coalesce: copy chains" `Quick test_coalesce_removes_copy_chain;
     Alcotest.test_case "coalesce: interference respected" `Quick test_coalesce_respects_interference;
+    Alcotest.test_case "coalesce: independent of next_reg" `Quick test_coalesce_ignores_name_supply;
     Alcotest.test_case "clean: empty blocks" `Quick test_clean_removes_empty_blocks;
     Alcotest.test_case "clean: same-target cbr" `Quick test_clean_folds_same_target_branch;
     Alcotest.test_case "clean: unreachable blocks" `Quick test_clean_removes_unreachable;

@@ -26,15 +26,7 @@ let fresh_dir =
         (Printf.sprintf "eprec-test-cache-%d-%d" (Unix.getpid ()) !n)
     in
     (* Never reuse state from an earlier (crashed) run. *)
-    let rec rm p =
-      if Sys.file_exists p then
-        if Sys.is_directory p then begin
-          Array.iter (fun f -> rm (Filename.concat p f)) (Sys.readdir p);
-          Sys.rmdir p
-        end
-        else Sys.remove p
-    in
-    rm dir;
+    Helpers.remove_tree dir;
     dir
 
 let program_text p = Ir_text.print_program p

@@ -10,6 +10,8 @@ let create ~id ?(instrs = []) ~term () = { id; instrs; term }
 
 let append b i = b.instrs <- b.instrs @ [ i ]
 
+let append_list b is = b.instrs <- b.instrs @ is
+
 let prepend b i = b.instrs <- i :: b.instrs
 
 let succs b = Instr.term_succs b.term

@@ -9,8 +9,13 @@ type t = {
 
 val create : id:int -> ?instrs:Instr.t list -> term:Instr.terminator -> unit -> t
 
-(** Append before the terminator. *)
+(** Append before the terminator. Copies the instruction list, so it costs
+    O(block length): a loop of [append]s is quadratic in what it adds. *)
 val append : t -> Instr.t -> unit
+
+(** Append a list before the terminator, in order, with one copy of the
+    block's instructions. *)
+val append_list : t -> Instr.t list -> unit
 
 val prepend : t -> Instr.t -> unit
 

@@ -88,7 +88,7 @@ let lcm_round ?(include_loads = true) (r : Routine.t) =
           let instrs = List.map insert_instrs (Bitset.elements ins) in
           inserted := !inserted + List.length instrs;
           if List.length (Cfg.succs cfg i) = 1 then
-            List.iter (fun instr -> Block.append (Cfg.block cfg i) instr) instrs
+            Block.append_list (Cfg.block cfg i) instrs
           else begin
             (* The edge was split if critical, so j has a single pred. *)
             assert (List.length preds.(j) = 1);

@@ -50,13 +50,25 @@ let reassociable config op =
   if config.reassoc_float then Op.associative_modulo_rounding op && Op.commutative op
   else Op.associative op && Op.commutative op
 
-(* Stable sort by rank; List.stable_sort keeps the original relative order
-   of equal-rank operands, so output is deterministic. *)
-let sort_by_rank args = List.stable_sort (fun a b -> compare (rank a) (rank b)) args
+(* Stable sort by rank, each operand's rank computed once. List.stable_sort
+   keeps the original relative order of equal-rank operands, so output is
+   deterministic. *)
+let sort_by_rank args =
+  List.map (fun t -> (rank t, t)) args
+  |> List.stable_sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.map snd
 
-let rec flatten_into config op acc = function
-  | Nary { op = op'; args } when op' = op -> List.fold_left (flatten_into config op) acc args
+(* Push [t]'s operands onto [acc], last first, splicing same-operator
+   n-ary nodes. *)
+let rec flatten_into op acc = function
+  | Nary { op = op'; args } when op' = op -> List.fold_left (flatten_into op) acc args
   | t -> t :: acc
+
+(* May [op]'s whole same-operator tree be gathered in one pass? Not for a
+   multiplication while distribution is on: an inner product can come back
+   as a sum, so it is normalized (and distributed) on its own first. *)
+let gathers config op =
+  reassociable config op && not (config.distribute && Op.distributes_over op <> None)
 
 (* ------------------------------------------------------------------ *)
 (* Distribution                                                        *)
@@ -67,64 +79,79 @@ let is_sum_for op t =
   | Some add, Bin { op = op'; _ } when op' = add -> true
   | _ -> false
 
-(* Group the sum's children for partial distribution: children ranked at or
-   below the multiplier stay together (their product hoists as one); the
-   higher-ranked children are grouped by rank level so each level keeps its
-   own multiply. *)
+(* Group the sum's rank-decorated children for partial distribution:
+   children ranked at or below the multiplier stay together (their product
+   hoists as one); the higher-ranked children are grouped by rank level,
+   lowest first, so each level keeps its own multiply. *)
 let group_children ~rank_f children =
-  let low, high = List.partition (fun c -> rank c <= rank_f) children in
-  let by_rank = Hashtbl.create 8 in
-  List.iter
-    (fun c ->
-      let k = rank c in
-      Hashtbl.replace by_rank k (c :: Option.value ~default:[] (Hashtbl.find_opt by_rank k)))
-    high;
-  let high_groups =
-    Hashtbl.fold (fun k cs acc -> (k, List.rev cs) :: acc) by_rank []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
+  let low, high = List.partition (fun (r, _) -> r <= rank_f) children in
+  let rec levels = function
+    | [] -> []
+    | (r, c) :: rest -> begin
+      match levels rest with
+      | (r', cs) :: more when r' = r -> (r, c :: cs) :: more
+      | more -> (r, [ c ]) :: more
+    end
   in
-  (low, high_groups)
-
-let mk_sum add = function
-  | [ c ] -> c
-  | cs -> Nary { op = add; args = cs }
-
-let mk_product op = function
-  | [ f ] -> f
-  | fs -> Nary { op; args = fs }
+  ( List.map snd low,
+    List.map snd (levels (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) high)) )
 
 (* ------------------------------------------------------------------ *)
 (* Normalization                                                       *)
 
+(* A same-operator tree is flattened top-down, once: its foreign operands
+   are normalized on their own and the gathered list is sorted once. For a
+   stable sort on rank, sorting a flattened child first and then its parent
+   gives the same order as sorting the parent's gathered leaves once, so
+   the result equals bottom-up rebuilding at every level. *)
 let rec normalize config t =
   match t with
   | Leaf _ | Cst _ -> t
   | Un { op; arg } -> Un { op; arg = normalize config arg }
   | Bin { op; a; b } -> begin
-    let a = normalize config a and b = normalize config b in
     match Op.sub_as_add_neg op with
-    | Some (add, neg) when reassociable config add ->
-      (* x - y -> x + (-y), then rebuild as an n-ary sum. *)
-      rebuild_nary config add [ a; Un { op = neg; arg = b } ]
+    | Some (add, _) when reassociable config add -> gather config add t
     | _ ->
-      if reassociable config op then rebuild_nary config op [ a; b ]
-      else Bin { op; a; b }
+      if gathers config op then gather config op t
+      else
+        let a = normalize config a and b = normalize config b in
+        if reassociable config op then rebuild_nary config op [ a; b ] else Bin { op; a; b }
   end
   | Nary { op; args } ->
-    let args = List.map (normalize config) args in
-    rebuild_nary config op args
+    if gathers config op then gather config op t
+    else rebuild_nary config op (List.map (normalize config) args)
 
+(* [op]'s operands under [t], left to right: through same-operator nodes
+   and, for a sum, through subtractions (x - y -> x + (-y)). *)
+and gather config op t =
+  let rec go acc t =
+    match t with
+    | Nary { op = op'; args } when op' = op -> List.fold_left go acc args
+    | Bin { op = op'; a; b } when op' = op -> go (go acc a) b
+    | Bin { op = sub; a; b } -> begin
+      match Op.sub_as_add_neg sub with
+      | Some (add, neg) when add = op -> Un { op = neg; arg = normalize config b } :: go acc a
+      | _ -> flatten_into op acc (normalize config t)
+    end
+    | t -> flatten_into op acc (normalize config t)
+  in
+  finish_nary config op (List.rev (go [] t))
+
+(* Rebuild an n-ary node over operands that are already normalized. *)
 and rebuild_nary config op args =
-  let args = List.rev (List.fold_left (flatten_into config op) [] args) in
-  let args = sort_by_rank args in
+  finish_nary config op (List.rev (List.fold_left (flatten_into op) [] args))
+
+and finish_nary config op args =
   let t =
-    match args with
+    match sort_by_rank args with
     | [] | [ _ ] -> invalid_arg "Expr_tree: n-ary node needs two operands"
     | args -> Nary { op; args }
   in
   if config.distribute then distribute config t else t
 
+(* Every part below is already normalized, and normalization is
+   idempotent, so the distributed terms and their sum are rebuilt from
+   those parts directly rather than normalized again. *)
 and distribute config t =
   match t with
   | Nary { op; args } when Op.distributes_over op <> None -> begin
@@ -135,43 +162,43 @@ and distribute config t =
     | _ when factors = [] ->
       (* sum * sum: no low-ranked multiplier to distribute. *)
       t
-    | sums ->
+    | first :: rest ->
       (* Distribute over the highest-ranked sum only, keeping the rest as
          factors. *)
-      let sum =
-        List.fold_left (fun best s -> if rank s > rank best then s else best)
-          (List.hd sums) (List.tl sums)
+      let _, sum =
+        List.fold_left
+          (fun (rb, best) s ->
+            let r = rank s in
+            if r > rb then (r, s) else (rb, best))
+          (rank first, first) rest
       in
       let factors = factors @ List.filter (fun s -> s != sum) sums in
       let rank_f = List.fold_left (fun acc f -> max acc (rank f)) 0 factors in
       let children =
         match sum with
-        | Nary { args; _ } -> args
-        | Bin { a; b; _ } -> [ a; b ]
+        | Nary { args; _ } -> List.map (fun c -> (rank c, c)) args
+        | Bin { a; b; _ } -> [ (rank a, a); (rank b, b) ]
         | Leaf _ | Cst _ | Un _ -> assert false
       in
-      if not (List.exists (fun c -> rank c > rank_f) children) then
-        (* The sum does not outrank the multiplier: distribution buys no
-           extra code motion, only extra multiplies. *)
+      let low, high_groups = group_children ~rank_f children in
+      match (if low = [] then [] else [ low ]) @ high_groups with
+      | [] | [ _ ] ->
+        (* Nothing to separate. Either the sum does not outrank the
+           multiplier, so distribution buys no extra code motion, only
+           extra multiplies; or it has one group, and distribution would
+           rebuild the same product and recurse forever. *)
         t
-      else begin
-        let low, high_groups = group_children ~rank_f children in
-        let groups = (if low = [] then [] else [ low ]) @ high_groups in
-        if List.length groups <= 1 then
-          (* One group only: distribution would rebuild the same product and
-             recurse forever; there is nothing to separate. *)
-          t
-        else begin
+      | groups ->
         let terms =
           List.map
-            (fun g -> normalize config (mk_product op (factors @ [ mk_sum add g ])))
+            (fun g ->
+              let part = match g with [ c ] -> c | g -> rebuild_nary config add g in
+              rebuild_nary config op (factors @ [ part ]))
             groups
         in
         (* Re-sort the resulting sum (the paper: "it is important to re-sort
            sums after distribution"). *)
-        normalize config (mk_sum add terms)
-        end
-      end
+        rebuild_nary config add terms
   end
   | t -> t
 

@@ -150,11 +150,11 @@ let remove_phis ctx =
                 | _ -> assert false)
               phis
           in
-          List.iter (fun i -> Block.append pb i) (List.rev !acc);
           let seq =
             Epre_ssa.Parallel_copy.sequentialize ~fresh:(fun () -> Routine.fresh_reg r) pairs
           in
-          List.iter (fun (dst, src) -> Block.append pb (Instr.Copy { dst; src })) seq)
+          Block.append_list pb
+            (List.rev_append !acc (List.map (fun (dst, src) -> Instr.Copy { dst; src }) seq)))
         preds;
       b.Block.instrs <- Block.non_phis b)
     phi_blocks;

@@ -213,9 +213,8 @@ let destroy (r : Routine.t) =
             (fun p ->
               assert (List.length (Cfg.succs cfg p) = 1);
               let seq = Parallel_copy.sequentialize ~fresh (pairs_for p) in
-              List.iter
-                (fun (dst, src) -> Block.append (Cfg.block cfg p) (Instr.Copy { dst; src }))
-                seq)
+              Block.append_list (Cfg.block cfg p)
+                (List.map (fun (dst, src) -> Instr.Copy { dst; src }) seq))
             preds;
           b.Block.instrs <- Block.non_phis b)
       end)

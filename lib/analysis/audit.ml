@@ -294,19 +294,10 @@ let core_of (r : Routine.t) =
                 Bitset.add cur_pav e.Expr_universe.index
               | None -> ())
             | _ -> ());
-            let reg_kills, mem_kills = Expr_universe.kills_of_instr uni i in
-            List.iter
-              (fun k ->
+            Expr_universe.iter_kills uni i (fun k ->
                 Bitset.remove cur_av k;
                 Bitset.remove cur_pav k;
-                Bitset.add killed k)
-              reg_kills;
-            List.iter
-              (fun k ->
-                Bitset.remove cur_av k;
-                Bitset.remove cur_pav k;
-                Bitset.add killed k)
-              mem_kills;
+                Bitset.add killed k);
             match Instr.def i with
             | Some d when d >= 0 && d < width -> Bitset.add cur_init d
             | _ -> ())

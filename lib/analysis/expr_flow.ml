@@ -10,20 +10,15 @@ type t = {
   cfg : Cfg.t;
 }
 
-let build ?(include_loads = true) (r : Routine.t) =
+let build (r : Routine.t) =
   let uni = Expr_universe.build r in
-  let width = Expr_universe.size uni in
-  let local = Expr_universe.compute_local uni r in
-  if not include_loads then
-    Array.iter
-      (fun (e : Expr_universe.expr) ->
-        if Expr_universe.is_load e.Expr_universe.key then begin
-          let i = e.Expr_universe.index in
-          Array.iter (fun s -> Bitset.remove s i) local.Expr_universe.antloc;
-          Array.iter (fun s -> Bitset.remove s i) local.Expr_universe.comp
-        end)
-      (Expr_universe.exprs uni);
-  { uni; local; width; cfg = r.Routine.cfg }
+  { uni; local = Expr_universe.compute_local uni r; width = Expr_universe.size uni;
+    cfg = r.Routine.cfg }
+
+let refresh t touched =
+  Bitset.iter
+    (fun id -> Expr_universe.update_local t.uni t.local (Cfg.block t.cfg id))
+    touched
 
 let system t ~gen ~meet =
   {
@@ -53,7 +48,6 @@ let partial_anticipability t =
 type placement = {
   laterin : Bitset.t array;
   later : int -> int -> Bitset.t;
-  later_virtual : Bitset.t;
 }
 
 let lcm_placement t =
@@ -65,62 +59,70 @@ let lcm_placement t =
   let ant = anticipability t in
   let antin = ant.Dataflow.ins and antout = ant.Dataflow.outs in
   let avout = avail.Dataflow.outs in
-  (* EARLIEST over a real edge (i, j). *)
+  let order = Order.compute cfg in
+  let reachable = Order.is_reachable order in
+  let rpo = Order.reverse_postorder order in
+  let entry = Cfg.entry cfg in
+  (* EARLIEST(i,j) = ANTIN(j) ∧ ¬AVOUT(i) ∧ (KILL(i) ∨ ¬ANTOUT(i)), once
+     per edge from a reachable block into a reachable one: the LATER
+     fixpoint below only reads it. *)
+  let guarded = Bitset.create width in
   let earliest i j =
     let s = Bitset.copy antin.(j) in
     Bitset.diff_into ~dst:s avout.(i);
-    let guard = Bitset.copy kill.(i) in
-    let not_antout = Bitset.copy antout.(i) in
-    (* kill(i) ∨ ¬antout(i): complement via full-universe diff *)
-    let all = Bitset.full width in
-    Bitset.diff_into ~dst:all not_antout;
-    Bitset.union_into ~dst:guard all;
-    Bitset.inter_into ~dst:s guard;
+    Bitset.assign ~dst:guarded s;
+    Bitset.inter_into ~dst:guarded kill.(i);
+    Bitset.diff_into ~dst:s antout.(i);
+    Bitset.union_into ~dst:s guarded;
     s
   in
-  let order = Order.compute cfg in
-  let rpo = Order.reverse_postorder order in
-  let preds = Cfg.preds cfg in
-  let entry = Cfg.entry cfg in
-  let nblocks = Cfg.num_blocks cfg in
-  let laterin = Array.init nblocks (fun _ -> Bitset.full width) in
-  (* LATER over a real edge, given current laterin. *)
-  let later i j =
-    let s = earliest i j in
-    let flow = Bitset.copy laterin.(i) in
-    Bitset.diff_into ~dst:flow antloc.(i);
-    Bitset.union_into ~dst:s flow;
-    s
+  let in_edges =
+    Array.mapi
+      (fun j ps ->
+        if reachable j then
+          List.filter_map (fun i -> if reachable i then Some (i, earliest i j) else None) ps
+        else [])
+      (Cfg.preds cfg)
   in
-  (* Virtual entry edge: LATER(V, entry) = ANTIN(entry). *)
-  let later_virtual = Bitset.copy antin.(entry) in
+  let laterin = Array.init (Cfg.num_blocks cfg) (fun _ -> Bitset.full width) in
+  (* LATER(i,j) = EARLIEST(i,j) ∨ (LATERIN(i) ∧ ¬ANTLOC(i)). *)
+  let later_into ~dst i e =
+    Bitset.assign ~dst laterin.(i);
+    Bitset.diff_into ~dst antloc.(i);
+    Bitset.union_into ~dst e
+  in
+  let acc = Bitset.create width and edge = Bitset.create width in
   let changed = ref true in
   while !changed do
     changed := false;
     Array.iter
       (fun j ->
-        let contributions =
-          (if j = entry then [ later_virtual ] else [])
-          @ List.filter_map
-              (fun i ->
-                if Order.is_reachable order i then Some (later i j) else None)
-              preds.(j)
+        (* LATERIN(j) = ∩ over j's in-edges of LATER. *)
+        let first = ref true in
+        let meet s =
+          if !first then Bitset.assign ~dst:acc s else Bitset.inter_into ~dst:acc s;
+          first := false
         in
-        let new_in =
-          match contributions with
-          | [] -> Bitset.create width
-          | first :: rest ->
-            let acc = Bitset.copy first in
-            List.iter (fun s -> Bitset.inter_into ~dst:acc s) rest;
-            acc
-        in
-        if not (Bitset.equal new_in laterin.(j)) then begin
-          Bitset.assign ~dst:laterin.(j) new_in;
+        (* The virtual entry edge: LATER(V, entry) = ANTIN(entry). *)
+        if j = entry then meet antin.(entry);
+        List.iter
+          (fun (i, e) ->
+            later_into ~dst:edge i e;
+            meet edge)
+          in_edges.(j);
+        if !first then Bitset.clear acc;
+        if not (Bitset.equal acc laterin.(j)) then begin
+          Bitset.assign ~dst:laterin.(j) acc;
           changed := true
         end)
       rpo
   done;
-  { laterin; later; later_virtual }
+  let later i j =
+    let s = Bitset.create width in
+    later_into ~dst:s i (List.assoc i in_edges.(j));
+    s
+  in
+  { laterin; later }
 
 let lcm_delete t =
   let p = lcm_placement t in

@@ -20,15 +20,21 @@ open Epre_ir
 
 type t = {
   uni : Expr_universe.t;
-  local : Expr_universe.local;  (** load bits stripped if [include_loads] was false *)
+  local : Expr_universe.local;
   width : int;  (** [Expr_universe.size uni] *)
   cfg : Cfg.t;
 }
 
-(** Build the universe and local sets for a routine. With
-    [~include_loads:false], load expressions are erased from ANTLOC/COMP
-    (they stay in KILL vacuously) so they neither move nor count. *)
-val build : ?include_loads:bool -> Routine.t -> t
+(** Build the universe and local sets for a routine. *)
+val build : Routine.t -> t
+
+(** [refresh t touched] recomputes the local sets of the blocks in
+    [touched] (a set over block ids) after their instructions changed.
+    The universe is kept: a pass that only inserts evaluations of
+    universe expressions into their names and deletes such evaluations
+    leaves [Expr_universe.build] unchanged, and the control-flow graph
+    must not change. *)
+val refresh : t -> Bitset.t -> unit
 
 (** Forward ∩ over COMP/KILL; [ins]/[outs] are AVIN/AVOUT. *)
 val availability : t -> Dataflow.result
@@ -49,12 +55,12 @@ val partial_anticipability : t -> Dataflow.result
     remove, so engine and auditor can never disagree. *)
 type placement = {
   laterin : Bitset.t array;
+      (** the entry's meets the virtual edge into it, whose LATER is
+        [ANTIN(entry)]; an entry without predecessors therefore never
+        needs an insertion on that edge *)
   later : int -> int -> Bitset.t;
-      (** LATER over the real edge (i, j), from the settled [laterin];
-        [INSERT(i,j) = LATER(i,j) ∧ ¬LATERIN(j)] *)
-  later_virtual : Bitset.t;
-      (** LATER over the virtual entry edge — [ANTIN(entry)], the legal
-        insertion point for expressions anticipated at routine entry *)
+      (** LATER over the real edge (i, j) between reachable blocks, from
+        the settled [laterin]; [INSERT(i,j) = LATER(i,j) ∧ ¬LATERIN(j)] *)
 }
 
 val lcm_placement : t -> placement

@@ -62,51 +62,43 @@ let exprs t = t.exprs
 
 let expr_of_name t reg = t.of_name.(reg)
 
+(* What [build] has seen defined into a register so far. *)
+type slot = Unseen | Evaluates of key | Excluded
+
 let build (r : Routine.t) =
   let width = max 1 r.Routine.next_reg in
-  (* keys_of.(reg): every key evaluated into reg, [None] for non-expression
-     defs. *)
-  let keys_of : (Instr.reg, key option list) Hashtbl.t = Hashtbl.create 64 in
+  let slots = Array.make width Unseen in
+  (* A name stays in the universe while every definition evaluates an
+     equal key; of two equal keys the later one is kept. *)
   let note reg k =
-    let prev = Option.value ~default:[] (Hashtbl.find_opt keys_of reg) in
-    Hashtbl.replace keys_of reg (k :: prev)
+    slots.(reg) <-
+      (match slots.(reg), k with
+      | Unseen, Some k -> Evaluates k
+      | Evaluates k', Some k when k = k' -> Evaluates k
+      | _ -> Excluded)
   in
-  List.iter (fun p -> note p None) r.Routine.params;
+  List.iter (fun p -> slots.(p) <- Excluded) r.Routine.params;
   Cfg.iter_blocks
     (fun b ->
       List.iter (fun i -> Option.iter (fun d -> note d (key_of i)) (Instr.def i)) b.Block.instrs)
     r.Routine.cfg;
+  (* Ascending register order gives the dense indices directly. *)
   let of_name = Array.make width None in
-  let exprs = ref [] in
-  let n = ref 0 in
-  Hashtbl.iter
-    (fun name keys ->
-      match keys with
-      | Some key :: rest when List.for_all (fun k -> k = Some key) rest ->
+  let killed_by = Array.make width [] in
+  let exprs = ref [] and loads = ref [] and n = ref 0 in
+  Array.iteri
+    (fun name slot ->
+      match slot with
+      | Evaluates key ->
         let e = { index = !n; name; key } in
         incr n;
         of_name.(name) <- Some e;
+        List.iter (fun operand -> killed_by.(operand) <- e.index :: killed_by.(operand)) (key_operands key);
+        if is_load key then loads := e.index :: !loads;
         exprs := e :: !exprs
-      | _ -> ())
-    keys_of;
-  let exprs = Array.of_list (List.rev !exprs) in
-  (* Hashtbl.iter order is unspecified; re-index densely and sort by name so
-     the universe is deterministic. *)
-  Array.sort (fun a b -> compare a.name b.name) exprs;
-  Array.iteri
-    (fun i e ->
-      let e = { e with index = i } in
-      exprs.(i) <- e;
-      of_name.(e.name) <- Some e)
-    exprs;
-  let killed_by = Array.make width [] in
-  let loads = ref [] in
-  Array.iter
-    (fun e ->
-      List.iter (fun operand -> killed_by.(operand) <- e.index :: killed_by.(operand)) (key_operands e.key);
-      if is_load e.key then loads := e.index :: !loads)
-    exprs;
-  { exprs; of_name; killed_by; loads = !loads }
+      | Unseen | Excluded -> ())
+    slots;
+  { exprs = Array.of_list (List.rev !exprs); of_name; killed_by; loads = !loads }
 
 (* ------------------------------------------------------------------ *)
 (* Block-local properties                                              *)
@@ -117,57 +109,43 @@ type local = {
   kill : Bitset.t array;
 }
 
-(* Indices killed by an instruction's definition/side effect. *)
-let kills_of_instr t i =
-  let reg_kills =
-    match Instr.def i with
-    | Some d -> t.killed_by.(d)
-    | None -> []
-  in
-  let mem_kills =
-    match i with
-    | Instr.Store _ | Instr.Call _ -> t.loads
-    | _ -> []
-  in
-  (reg_kills, mem_kills)
+(* Indices killed by an instruction's definition or side effect. *)
+let iter_kills t i f =
+  Option.iter (fun d -> List.iter f t.killed_by.(d)) (Instr.def i);
+  match i with
+  | Instr.Store _ | Instr.Call _ -> List.iter f t.loads
+  | _ -> ()
+
+let update_local t local (b : Block.t) =
+  let id = b.Block.id in
+  let antloc = local.antloc.(id) and comp = local.comp.(id) and kill = local.kill.(id) in
+  Bitset.clear antloc;
+  Bitset.clear comp;
+  Bitset.clear kill;
+  (* KILL so far doubles as "killed before this point" for ANTLOC. *)
+  List.iter
+    (fun i ->
+      (* Evaluation first: an instruction that evaluates e and defines
+         one of e's operands (impossible under the discipline, but be
+         safe) counts the evaluation before the kill. *)
+      (match key_of i, Instr.def i with
+      | Some _, Some dst -> begin
+        match t.of_name.(dst) with
+        | Some e ->
+          if not (Bitset.mem kill e.index) then Bitset.add antloc e.index;
+          Bitset.add comp e.index
+        | None -> ()
+      end
+      | _ -> ());
+      iter_kills t i (fun idx ->
+          Bitset.add kill idx;
+          Bitset.remove comp idx))
+    b.Block.instrs
 
 let compute_local t (r : Routine.t) =
   let nblocks = Cfg.num_blocks r.Routine.cfg in
   let width = Array.length t.exprs in
-  let antloc = Array.init nblocks (fun _ -> Bitset.create width) in
-  let comp = Array.init nblocks (fun _ -> Bitset.create width) in
-  let kill = Array.init nblocks (fun _ -> Bitset.create width) in
-  Cfg.iter_blocks
-    (fun b ->
-      let id = b.Block.id in
-      let killed_so_far = Bitset.create width in
-      List.iter
-        (fun i ->
-          (* Evaluation first: an instruction that evaluates e and defines
-             one of e's operands (impossible under the discipline, but be
-             safe) counts the evaluation before the kill. *)
-          (match key_of i, Instr.def i with
-          | Some _, Some dst -> begin
-            match t.of_name.(dst) with
-            | Some e ->
-              if not (Bitset.mem killed_so_far e.index) then Bitset.add antloc.(id) e.index;
-              Bitset.add comp.(id) e.index
-            | None -> ()
-          end
-          | _ -> ());
-          let reg_kills, mem_kills = kills_of_instr t i in
-          List.iter
-            (fun idx ->
-              Bitset.add killed_so_far idx;
-              Bitset.add kill.(id) idx;
-              Bitset.remove comp.(id) idx)
-            reg_kills;
-          List.iter
-            (fun idx ->
-              Bitset.add killed_so_far idx;
-              Bitset.add kill.(id) idx;
-              Bitset.remove comp.(id) idx)
-            mem_kills)
-        b.Block.instrs)
-    r.Routine.cfg;
-  { antloc; comp; kill }
+  let sets () = Array.init nblocks (fun _ -> Bitset.create width) in
+  let local = { antloc = sets (); comp = sets (); kill = sets () } in
+  Cfg.iter_blocks (update_local t local) r.Routine.cfg;
+  local

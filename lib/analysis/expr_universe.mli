@@ -29,7 +29,13 @@ type expr = {
   key : key;
 }
 
-type t
+type t = private {
+  exprs : expr array;  (** in ascending name order, [index] = position *)
+  of_name : expr option array;  (** indexed by register *)
+  killed_by : int list array;
+      (** indexed by register: the expressions it is an operand of *)
+  loads : int list;  (** indices of load expressions *)
+}
 
 val size : t -> int
 
@@ -37,6 +43,8 @@ val exprs : t -> expr array
 
 val expr_of_name : t -> Instr.reg -> expr option
 
+(** One pass over the routine's definitions into a register-indexed
+    table, read back in ascending register order. *)
 val build : Routine.t -> t
 
 type local = {
@@ -47,7 +55,13 @@ type local = {
       (** operand redefined; loads also killed by stores/calls *)
 }
 
-(** (register kills, memory kills) an instruction causes. *)
-val kills_of_instr : t -> Instr.t -> int list * int list
+(** [iter_kills t i f] calls [f] on each expression [i] kills: those
+    with [i]'s destination as an operand and, for a store or a call,
+    every load. *)
+val iter_kills : t -> Instr.t -> (int -> unit) -> unit
 
 val compute_local : t -> Routine.t -> local
+
+(** Recompute one block's ANTLOC/COMP/KILL in place after its
+    instructions changed. *)
+val update_local : t -> local -> Block.t -> unit

@@ -12,15 +12,13 @@ open Epre_util
 open Epre_ir
 open Epre_analysis
 
-let run (r : Routine.t) =
-  if r.Routine.in_ssa then invalid_arg "Cse_avail.run: requires non-SSA code";
-  let fl = Expr_flow.build r in
+let sweep (fl : Expr_flow.t) =
   let uni = fl.Expr_flow.uni in
-  let width = fl.Expr_flow.width in
-  if width = 0 then 0
+  if fl.Expr_flow.width = 0 then 0
   else begin
     let avail = Expr_flow.availability fl in
     let deleted = ref 0 in
+    let touched = Bitset.create (Cfg.num_blocks fl.Expr_flow.cfg) in
     Cfg.iter_blocks
       (fun b ->
         let current = Bitset.copy avail.Dataflow.ins.(b.Block.id) in
@@ -34,6 +32,7 @@ let run (r : Routine.t) =
                   | Some e ->
                     if Bitset.mem current e.Expr_universe.index then begin
                       incr deleted;
+                      Bitset.add touched b.Block.id;
                       false
                     end
                     else begin
@@ -44,13 +43,14 @@ let run (r : Routine.t) =
                 end
                 | _ -> true
               in
-              if keep then begin
-                let reg_kills, mem_kills = Expr_universe.kills_of_instr uni i in
-                List.iter (Bitset.remove current) reg_kills;
-                List.iter (Bitset.remove current) mem_kills
-              end;
+              if keep then Expr_universe.iter_kills uni i (Bitset.remove current);
               keep)
             b.Block.instrs)
-      r.Routine.cfg;
+      fl.Expr_flow.cfg;
+    Expr_flow.refresh fl touched;
     !deleted
   end
+
+let run (r : Routine.t) =
+  if r.Routine.in_ssa then invalid_arg "Cse_avail.run: requires non-SSA code";
+  sweep (Expr_flow.build r)

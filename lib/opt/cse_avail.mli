@@ -7,3 +7,8 @@
 open Epre_ir
 
 val run : Routine.t -> int
+
+(** The same deletion over a flow already built for the routine, leaving
+    its local sets describing the swept code ([Expr_flow.refresh]) — the
+    per-round sweep of [Epre_pre.Pre]. *)
+val sweep : Epre_analysis.Expr_flow.t -> int

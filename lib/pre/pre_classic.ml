@@ -25,23 +25,21 @@
 open Epre_util
 open Epre_ir
 open Epre_analysis
-open Epre_opt
 
-type stats = {
+type stats = Pre.stats = {
   mutable inserted : int;
   mutable deleted : int;
   mutable cse_deleted : int;
   mutable rounds : int;
 }
 
-let mr_round ?(include_loads = true) (r : Routine.t) =
-  let cfg = r.Routine.cfg in
-  let fl = Expr_flow.build ~include_loads r in
-  let uni = fl.Expr_flow.uni in
+let mr_round (fl : Expr_flow.t) =
   let width = fl.Expr_flow.width in
   if width = 0 then (0, 0)
   else begin
+    let cfg = fl.Expr_flow.cfg in
     let antloc = fl.Expr_flow.local.Expr_universe.antloc in
+    (* ¬TRANSP = KILL *)
     let kill = fl.Expr_flow.local.Expr_universe.kill in
     let avail = Expr_flow.availability fl in
     let ant = Expr_flow.anticipability fl in
@@ -55,9 +53,6 @@ let mr_round ?(include_loads = true) (r : Routine.t) =
        pinned empty. *)
     let ppin = Array.init nblocks (fun _ -> Bitset.full width) in
     let ppout = Array.init nblocks (fun _ -> Bitset.full width) in
-    let transp_not id =
-      kill.(id)  (* ¬TRANSP = KILL *)
-    in
     let changed = ref true in
     while !changed do
       changed := false;
@@ -84,7 +79,7 @@ let mr_round ?(include_loads = true) (r : Routine.t) =
               else begin
                 (* ANTLOC ∨ (TRANSP ∧ PPOUT) *)
                 let inner = Bitset.copy ppout.(id) in
-                Bitset.diff_into ~dst:inner (transp_not id);
+                Bitset.diff_into ~dst:inner kill.(id);
                 Bitset.union_into ~dst:inner antloc.(id);
                 (* ∧ ANTIN *)
                 Bitset.inter_into ~dst:inner antin.(id);
@@ -110,14 +105,14 @@ let mr_round ?(include_loads = true) (r : Routine.t) =
     (* Transformation: insert at the end of i when
        PPOUT(i) ∧ ¬AVOUT(i) ∧ (¬PPIN(i) ∨ ¬TRANSP(i)); delete the
        locally-anticipable evaluations where PPIN holds. *)
-    let exprs = Expr_universe.exprs uni in
+    let touched = Bitset.create nblocks in
     let inserted = ref 0 in
     Cfg.iter_blocks
       (fun b ->
         let id = b.Block.id in
         if Order.is_reachable order id then begin
           let ins = Bitset.copy ppin.(id) in
-          Bitset.diff_into ~dst:ins (transp_not id);
+          Bitset.diff_into ~dst:ins kill.(id);
           let all = Bitset.full width in
           Bitset.diff_into ~dst:all ins;
           (* all = ¬PPIN ∨ ¬TRANSP *)
@@ -125,70 +120,23 @@ let mr_round ?(include_loads = true) (r : Routine.t) =
           Bitset.diff_into ~dst:set avout.(id);
           Bitset.inter_into ~dst:set all;
           if not (Bitset.is_empty set) then begin
-            let instrs =
-              List.map
-                (fun idx ->
-                  let e = exprs.(idx) in
-                  Pre.instr_of_key e.Expr_universe.key ~dst:e.Expr_universe.name)
-                (Bitset.elements set)
-            in
+            let instrs = Pre.instrs_of_set fl.Expr_flow.uni set in
             inserted := !inserted + List.length instrs;
-            Block.append_list b instrs
+            Block.append_list b instrs;
+            Bitset.add touched id
           end
         end)
       cfg;
-    let deleted = ref 0 in
-    Cfg.iter_blocks
-      (fun b ->
-        let id = b.Block.id in
-        if Order.is_reachable order id then begin
+    let deleted =
+      Pre.delete_covered fl order ~touched (fun id ->
           let del = Bitset.copy antloc.(id) in
           Bitset.inter_into ~dst:del ppin.(id);
-          if not (Bitset.is_empty del) then begin
-            let killed = Bitset.create width in
-            b.Block.instrs <-
-              List.filter
-                (fun i ->
-                  let drop =
-                    match Expr_universe.key_of i, Instr.def i with
-                    | Some _, Some dst -> begin
-                      match Expr_universe.expr_of_name uni dst with
-                      | Some e ->
-                        let idx = e.Expr_universe.index in
-                        Bitset.mem del idx && not (Bitset.mem killed idx)
-                      | None -> false
-                    end
-                    | _ -> false
-                  in
-                  if not drop then begin
-                    let reg_kills, mem_kills = Expr_universe.kills_of_instr uni i in
-                    List.iter (Bitset.add killed) reg_kills;
-                    List.iter (Bitset.add killed) mem_kills
-                  end
-                  else incr deleted;
-                  not drop)
-                b.Block.instrs
-          end
-        end)
-      cfg;
-    (!inserted, !deleted)
+          del)
+    in
+    Expr_flow.refresh fl touched;
+    (!inserted, deleted)
   end
 
-let max_rounds = 16
-
-let run ?(include_loads = true) (r : Routine.t) =
+let run (r : Routine.t) =
   if r.Routine.in_ssa then invalid_arg "Pre_classic.run: requires non-SSA code";
-  let stats = { inserted = 0; deleted = 0; cse_deleted = 0; rounds = 0 } in
-  let rec go n =
-    if n < max_rounds then begin
-      let ins, del = mr_round ~include_loads r in
-      let cse = Cse_avail.run r in
-      stats.inserted <- stats.inserted + ins;
-      stats.deleted <- stats.deleted + del;
-      stats.cse_deleted <- stats.cse_deleted + cse;
-      stats.rounds <- stats.rounds + 1;
-      if ins + del + cse > 0 then go (n + 1)
-    end
-  in
-  go 0;
-  stats
+  Pre.fixpoint r ~round:mr_round

@@ -8,11 +8,16 @@
 
 open Epre_ir
 
-type stats = {
+type stats = Pre.stats = {
   mutable inserted : int;
   mutable deleted : int;
   mutable cse_deleted : int;
   mutable rounds : int;
 }
 
-val run : ?include_loads:bool -> Routine.t -> stats
+(** Rounds of [mr_round] through [Pre.fixpoint]. *)
+val run : Routine.t -> stats
+
+(** One Morel–Renvoise transformation over a routine's flow; returns
+    (inserted, deleted) and refreshes the blocks it changed. *)
+val mr_round : Epre_analysis.Expr_flow.t -> int * int

@@ -302,6 +302,125 @@ let test_no_candidates_is_fine () =
   Alcotest.(check int) "nothing to do" 0 stats.Epre_pre.Pre.inserted;
   ignore (instrs_of r)
 
+(* ------------------------------------------------------------------ *)
+(* The per-run state: one universe, local sets refreshed per change     *)
+
+module Expr_flow = Epre_analysis.Expr_flow
+module Expr_universe = Epre_analysis.Expr_universe
+
+(* The run's flow must describe the code as a fresh build would: the
+   universe it kept, and the local sets it refreshed block by block. *)
+let check_flow ~what r (fl : Expr_flow.t) =
+  if compare (Expr_universe.build r) fl.Expr_flow.uni <> 0 then
+    Alcotest.failf "%s: the universe changed" what;
+  let fresh = Expr_universe.compute_local fl.Expr_flow.uni r in
+  let kept = fl.Expr_flow.local in
+  Cfg.iter_blocks
+    (fun b ->
+      let id = b.Block.id in
+      List.iter
+        (fun (set, fresh, kept) ->
+          if not (Epre_util.Bitset.equal fresh.(id) kept.(id)) then
+            Alcotest.failf "%s: stale %s in block %d" what set id)
+        [ ("ANTLOC", fresh.Expr_universe.antloc, kept.Expr_universe.antloc);
+          ("COMP", fresh.Expr_universe.comp, kept.Expr_universe.comp);
+          ("KILL", fresh.Expr_universe.kill, kept.Expr_universe.kill) ])
+    r.Routine.cfg
+
+(* [Pre.fixpoint]'s loop written out, checking the flow after every
+   transformation and every sweep; the result must be [run]'s. *)
+let drive_rounds ~what ~prepare ~round ~run r =
+  let expected = Routine.copy r in
+  ignore (run expected);
+  if prepare then Epre_pre.Pre.prepare r;
+  let fl = Expr_flow.build r in
+  let rec go n =
+    if n < 16 then begin
+      let ins, del = round fl in
+      check_flow ~what:(Printf.sprintf "%s, round %d transformation" what n) r fl;
+      let cse = Epre_opt.Cse_avail.sweep fl in
+      check_flow ~what:(Printf.sprintf "%s, round %d sweep" what n) r fl;
+      if ins + del + cse > 0 then go (n + 1)
+    end
+  in
+  go 0;
+  Alcotest.(check string) (what ^ ": same code as run") (Ir_text.routine_to_string expected)
+    (Ir_text.routine_to_string r)
+
+(* Each routine through its level's passes, with every [pre] stage (the
+   main one and the late one) driven round by round; at [partial] the
+   classic rounds also run on a copy of each stage's input. *)
+let drive_program ~what level source =
+  let prog = Helpers.compile source in
+  List.iter
+    (fun r ->
+      List.iteri
+        (fun k (np : Epre_harness.Harness.named_pass) ->
+          if np.pass_name <> "pre" then np.run r
+          else begin
+            let what = Printf.sprintf "%s/%s pass %d" what r.Routine.name k in
+            if level = Epre.Pipeline.Partial then
+              drive_rounds ~what:(what ^ " classic") ~prepare:false
+                ~round:Epre_pre.Pre_classic.mr_round ~run:Epre_pre.Pre_classic.run
+                (Routine.copy r);
+            drive_rounds ~what ~prepare:true ~round:Epre_pre.Pre.lcm_round
+              ~run:Epre_pre.Pre.run r
+          end)
+        (Epre.Pipeline.level_passes ~level))
+    (Program.routines prog)
+
+let levels = [ Epre.Pipeline.Partial; Epre.Pipeline.Distribution ]
+
+let test_incremental_state_workloads () =
+  List.iter
+    (fun (w : Epre_workloads.Workloads.t) ->
+      List.iter
+        (fun level ->
+          drive_program
+            ~what:(w.Epre_workloads.Workloads.name ^ " " ^ Epre.Pipeline.level_to_string level)
+            level w.Epre_workloads.Workloads.source)
+        levels)
+    Epre_workloads.Workloads.all
+
+let test_incremental_state_generated () =
+  for seed = 1 to 100 do
+    List.iter
+      (fun level ->
+        drive_program
+          ~what:(Printf.sprintf "gen %d %s" seed (Epre.Pipeline.level_to_string level))
+          level (Epre_fuzz.Gen.source seed))
+      levels
+  done
+
+(* The frontend's entry block has no predecessors. Here the entry heads a
+   loop, and [x = a + b], anticipated on both of its paths, must land in
+   a block of its own before it: placed at the top of the entry itself,
+   the next round deleted it together with the evaluation it covered,
+   leaving [x] undefined on the exit path. *)
+let test_entry_heading_a_loop () =
+  let b = Builder.start ~name:"entry_loop" ~nparams:3 in
+  let entry = Cfg.entry (Builder.cfg b) in
+  let x = Builder.fresh_reg b in
+  let body = Builder.new_block b and exit = Builder.new_block b in
+  Builder.cbr b ~cond:0 ~ifso:body ~ifnot:exit;
+  Builder.switch b body;
+  Builder.emit b (Instr.Binop { op = Op.Add; dst = x; a = 1; b = 2 });
+  Builder.jump b entry;
+  Builder.switch b exit;
+  Builder.emit b (Instr.Binop { op = Op.Add; dst = x; a = 1; b = 2 });
+  Builder.ret b (Some x);
+  let r = Builder.finish b in
+  let prog = Program.create [ r ] in
+  let args = [ Value.I 0; Value.I 2; Value.I 3 ] in
+  drive_rounds ~what:"entry loop" ~prepare:true ~round:Epre_pre.Pre.lcm_round
+    ~run:Epre_pre.Pre.run r;
+  Alcotest.(check int) "exit path" 5 (Helpers.run_int ~entry:"entry_loop" ~args prog);
+  let landing = Cfg.entry r.Routine.cfg in
+  Alcotest.(check bool) "a fresh entry" true (landing <> entry);
+  match (Cfg.block r.Routine.cfg landing).Block.instrs with
+  | [ Instr.Binop { dst; _ } ] when dst = x -> ()
+  | _ -> Alcotest.fail "expected the evaluation alone in the landing block"
+
 let suite =
   [
     Alcotest.test_case "section 2: partial redundancy" `Quick test_partial_redundancy_insert_and_delete;
@@ -315,4 +434,8 @@ let suite =
     Alcotest.test_case "idempotent" `Quick test_pre_is_idempotent;
     Alcotest.test_case "constants leave loops" `Quick test_constants_hoisted_out_of_loop;
     Alcotest.test_case "empty routine" `Quick test_no_candidates_is_fine;
+    Alcotest.test_case "incremental state: workloads" `Slow test_incremental_state_workloads;
+    Alcotest.test_case "incremental state: generated" `Slow test_incremental_state_generated;
+    Alcotest.test_case "entry heading a loop gets a landing block" `Quick
+      test_entry_heading_a_loop;
   ]
